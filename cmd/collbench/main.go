@@ -1,7 +1,8 @@
 // Command collbench runs the offloaded-vs-host-driven collective
 // experiment (internal/experiments E15): triggered-operation chains that
 // progress on the delivery lanes while every rank burns CPU, against the
-// same binary tree driven by host code between bursts of compute.
+// same operations driven by host code (coll.Group) between bursts of
+// compute.
 //
 // Usage:
 //

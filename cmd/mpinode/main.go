@@ -60,10 +60,58 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if err := wireUp(ni, *rank, ids); err != nil {
+		fatal(err)
+	}
 
 	if err := app(c, *size, *rounds); err != nil {
 		fatal(err)
 	}
+}
+
+// ptlReady is the portal of the wire-up entry, clear of the indexes
+// internal/mpi claims.
+const ptlReady portals.PtlIndex = 8
+
+// wireUp returns once every peer has its communicator armed. Until then a
+// message can reach a peer before mpi.New has attached its match entries
+// and be dropped for want of one (§4.8) — silently, so the job's first
+// barrier would wait forever. Each rank exposes a ready entry once its
+// communicator exists and gets every peer's, retrying until it answers.
+func wireUp(ni *portals.NI, rank int, ids []portals.ProcessID) error {
+	me, err := ni.MEAttach(ptlReady, portals.AnyProcess, 0, 0, portals.Retain, portals.After)
+	if err != nil {
+		return err
+	}
+	if _, err := ni.MDAttach(me, portals.MD{
+		Start: []byte{1}, Threshold: portals.ThresholdInfinite, Options: portals.MDOpGet,
+	}, portals.Retain); err != nil {
+		return err
+	}
+	eq, err := ni.EQAlloc(64)
+	if err != nil {
+		return err
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for r, id := range ids {
+		for r != rank {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("wire-up: rank %d never answered", r)
+			}
+			md, err := ni.MDBind(portals.MD{Start: make([]byte, 1), Threshold: 1, EQ: eq, UserPtr: r}, portals.Unlink)
+			if err != nil {
+				return err
+			}
+			if err := ni.Get(md, id, ptlReady, 0, 0, 0); err != nil {
+				return err
+			}
+			// A reply may be a late one for an earlier peer; only r's counts.
+			if ev, err := ni.EQPoll(eq, 100*time.Millisecond); err == nil && ev.Type == portals.EventReply && ev.UserPtr == r {
+				break
+			}
+		}
+	}
+	return nil
 }
 
 func fatal(err error) {

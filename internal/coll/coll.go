@@ -1,16 +1,20 @@
 // Package coll implements collective operations DIRECTLY on Portals,
 // without a point-to-point message layer in between — the approach of the
 // high-performance collective communication library the paper cites (§2)
-// for Puma MPI. It provides the same operations twice, as the two ends of
-// experiment E15's comparison:
+// for Puma MPI. Each algorithm — dissemination barrier, binomial bcast
+// and reduce, recursive-doubling allreduce — is written once, as a
+// schedule (schedule.go), and run by one of two executors, the two ends
+// of experiment E15's comparison:
 //
-//   - Group (this file) is HOST-DRIVEN: the member's goroutine executes
-//     each hop of the tree, so a collective's latency adds to whatever
-//     compute the host is doing.
-//   - TGroup (triggered.go) is NIC-OFFLOADED: the same trees rebuilt as
-//     pre-armed triggered-operation chains over counting events
-//     (docs/PROTOCOL.md §6), progressing entirely on the delivery lanes
-//     so a collective completes UNDER a compute burn.
+//   - Group (this file) is HOST-DRIVEN: Run executes each step on the
+//     member's goroutine, so a collective's latency adds to whatever
+//     compute the host is doing. mpi.Comm runs the same schedules the
+//     same way over point-to-point messages.
+//   - TGroup (triggered.go) is NIC-OFFLOADED: the triggered executor
+//     turns the binomial tree schedules into pre-armed triggered-operation
+//     chains over counting events (docs/PROTOCOL.md §6), progressing
+//     entirely on the delivery lanes so a collective completes UNDER a
+//     compute burn.
 //
 // Group design: every member arms PERSISTENT wildcard match entries at
 // group creation (one per operation class), so collective traffic is
@@ -31,10 +35,9 @@
 package coll
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
+	"math/bits"
 	"time"
 
 	"repro/portals"
@@ -51,13 +54,8 @@ const (
 	opAck     uint64 = 4
 )
 
-func bits(op uint64, gen uint32, phase int) portals.MatchBits {
+func matchBits(op uint64, gen uint32, phase int) portals.MatchBits {
 	return portals.MatchBits(op<<60 | uint64(gen)<<8 | uint64(phase&0xFF))
-}
-
-// opPattern returns the persistent entry's match/ignore for one class.
-func opPattern(op uint64) (portals.MatchBits, portals.MatchBits) {
-	return portals.MatchBits(op << 60), ^portals.MatchBits(0xF << 60)
 }
 
 // Config sizes the persistent staging resources.
@@ -79,26 +77,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Op combines two float64 vectors elementwise into dst (same contract as
-// the mpi package's Op).
-type Op func(dst, src []float64)
-
-// Built-in operators.
-var (
-	Sum Op = func(dst, src []float64) {
-		for i := range dst {
-			dst[i] += src[i]
-		}
-	}
-	Max Op = func(dst, src []float64) {
-		for i := range dst {
-			if src[i] > dst[i] {
-				dst[i] = src[i]
-			}
-		}
-	}
-)
-
 // Group is one member's endpoint of a collective group. Calls must come
 // from a single goroutine, in the same order on every member.
 type Group struct {
@@ -111,6 +89,9 @@ type Group struct {
 	eq   portals.Handle
 	seen map[portals.MatchBits]int
 	gen  uint32
+	link groupLink
+
+	allreduce []Step // this member's Allreduce schedule
 
 	arStage []byte // allreduce staging: phases × 2 gens × slot
 	bcStage []byte // bcast staging: 2 gens × MaxMsg
@@ -133,14 +114,11 @@ func NewGroup(ni *portals.NI, rank int, ids []portals.ProcessID, cfg Config) (*G
 		ni: ni, rank: rank, size: len(ids),
 		ids: append([]portals.ProcessID(nil), ids...),
 		cfg: cfg, seen: make(map[portals.MatchBits]int),
-		Timeout: 30 * time.Second,
+		allreduce: RecursiveDoubling(rank, len(ids), 0),
+		Timeout:   30 * time.Second,
 	}
 	// Phases: fold-in + ⌊log2⌋ doubling rounds + fold-out.
-	r := 0
-	for 1<<(r+1) <= g.size {
-		r++
-	}
-	g.phases = r + 2
+	g.phases = bits.Len(uint(g.size)) + 1
 	g.arSlot = 8 * cfg.MaxVec
 	g.arStage = make([]byte, g.phases*2*g.arSlot)
 	g.bcStage = make([]byte, 2*cfg.MaxMsg)
@@ -151,31 +129,23 @@ func NewGroup(ni *portals.NI, rank int, ids []portals.ProcessID, cfg Config) (*G
 	}
 	g.eq = eq
 
-	arm := func(op uint64, buf []byte) error {
-		b, ig := opPattern(op)
-		me, err := ni.MEAttach(ptlColl, portals.AnyProcess, b, ig, portals.Retain, portals.After)
+	for _, c := range []struct {
+		op  uint64
+		buf []byte
+	}{{opBarrier, nil}, {opAllred, g.arStage}, {opBcast, g.bcStage}, {opAck, nil}} {
+		// Persistent wildcard entry for the class: only the top nibble matches.
+		me, err := ni.MEAttach(ptlColl, portals.AnyProcess, portals.MatchBits(c.op<<60), ^portals.MatchBits(0xF<<60), portals.Retain, portals.After)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		_, err = ni.MDAttach(me, portals.MD{
-			Start:     buf,
+		if _, err := ni.MDAttach(me, portals.MD{
+			Start:     c.buf,
 			Threshold: portals.ThresholdInfinite,
 			Options:   portals.MDOpPut | portals.MDManageRemote | portals.MDTruncate,
 			EQ:        eq,
-		}, portals.Retain)
-		return err
-	}
-	if err := arm(opBarrier, nil); err != nil {
-		return nil, err
-	}
-	if err := arm(opAllred, g.arStage); err != nil {
-		return nil, err
-	}
-	if err := arm(opBcast, g.bcStage); err != nil {
-		return nil, err
-	}
-	if err := arm(opAck, nil); err != nil {
-		return nil, err
+		}, portals.Retain); err != nil {
+			return nil, err
+		}
 	}
 	return g, nil
 }
@@ -213,36 +183,54 @@ func (g *Group) waitBits(b portals.MatchBits) error {
 	return nil
 }
 
-// Barrier blocks until all members arrive (dissemination, zero-length
-// puts into the persistent barrier entry).
-func (g *Group) Barrier() error {
-	gen := g.gen
+// groupLink is Group's link for the operation in flight: a put whose
+// match bits carry (op, generation, phase) into the op's staging slot.
+type groupLink struct {
+	g     *Group
+	op    uint64
+	gen   uint32
+	stage []byte
+}
+
+// begin opens the next generation of op on the link.
+func (g *Group) begin(op uint64, stage []byte) *groupLink {
+	g.link = groupLink{g: g, op: op, gen: g.gen, stage: stage}
 	g.gen++
-	round := 0
-	for dist := 1; dist < g.size; dist *= 2 {
-		dst := (g.rank + dist) % g.size
-		b := bits(opBarrier, gen, round)
-		if err := g.put(dst, b, nil, 0); err != nil {
-			return err
-		}
-		if err := g.waitBits(b); err != nil {
-			return err
-		}
-		round++
+	return &g.link
+}
+
+// off is the staging offset for phase — identical layout on every member.
+func (l *groupLink) off(phase int) int {
+	par := int(l.gen % 2)
+	switch l.op {
+	case opAllred:
+		return (par*l.g.phases + phase) * l.g.arSlot
+	case opBcast:
+		return par * l.g.cfg.MaxMsg
+	}
+	return 0
+}
+
+func (l *groupLink) Send(to, phase int, data []byte) error {
+	return l.g.put(to, matchBits(l.op, l.gen, phase), data, uint64(l.off(phase)))
+}
+
+func (l *groupLink) Recv(from, phase int, data []byte) error {
+	if err := l.g.waitBits(matchBits(l.op, l.gen, phase)); err != nil {
+		return err
+	}
+	copy(data, l.stage[l.off(phase):])
+	if l.op == opBcast {
+		// Credit the parent: our slot for gen is drained.
+		return l.g.put(from, matchBits(opAck, l.gen, 0), nil, 0)
 	}
 	return nil
 }
 
-// arOffset computes the staging offset for (gen, phase) — identical
-// layout on every member.
-func (g *Group) arOffset(gen uint32, phase int) uint64 {
-	return uint64((int(gen%2)*g.phases + phase) * g.arSlot)
-}
-
-// arSlotData returns the received vector bytes for (gen, phase).
-func (g *Group) arSlotData(gen uint32, phase int, n int) []byte {
-	off := g.arOffset(gen, phase)
-	return g.arStage[off : off+uint64(8*n)]
+// Barrier blocks until all members arrive (dissemination, zero-length
+// puts into the persistent barrier entry).
+func (g *Group) Barrier() error {
+	return Run(g.begin(opBarrier, nil), Dissemination(g.rank, g.size, 0), nil, nil, nil)
 }
 
 // Allreduce combines vec across all members with op; every member ends
@@ -252,58 +240,7 @@ func (g *Group) Allreduce(vec []float64, op Op) error {
 	if len(vec) > g.cfg.MaxVec {
 		return fmt.Errorf("coll: vector %d exceeds MaxVec %d", len(vec), g.cfg.MaxVec)
 	}
-	gen := g.gen
-	g.gen++
-	pow2 := 1
-	for pow2*2 <= g.size {
-		pow2 *= 2
-	}
-	extra := g.size - pow2
-	tmp := make([]float64, len(vec))
-	out := make([]byte, 8*len(vec))
-
-	combineFrom := func(phase int) error {
-		if err := g.waitBits(bits(opAllred, gen, phase)); err != nil {
-			return err
-		}
-		decodeF64(g.arSlotData(gen, phase, len(vec)), tmp)
-		op(vec, tmp)
-		return nil
-	}
-
-	if g.rank >= pow2 {
-		// Fold in, then wait for the folded-out result.
-		if err := g.put(g.rank-pow2, bits(opAllred, gen, 0), encodeF64(vec, out), g.arOffset(gen, 0)); err != nil {
-			return err
-		}
-		last := g.phases - 1
-		if err := g.waitBits(bits(opAllred, gen, last)); err != nil {
-			return err
-		}
-		decodeF64(g.arSlotData(gen, last, len(vec)), vec)
-		return nil
-	}
-	if g.rank < extra {
-		if err := combineFrom(0); err != nil {
-			return err
-		}
-	}
-	for p, dist := 1, 1; dist < pow2; p, dist = p+1, dist*2 {
-		partner := g.rank ^ dist
-		if err := g.put(partner, bits(opAllred, gen, p), encodeF64(vec, out), g.arOffset(gen, p)); err != nil {
-			return err
-		}
-		if err := combineFrom(p); err != nil {
-			return err
-		}
-	}
-	if g.rank < extra {
-		last := g.phases - 1
-		if err := g.put(g.rank+pow2, bits(opAllred, gen, last), encodeF64(vec, out), g.arOffset(gen, last)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return RunVec(g.begin(opAllred, g.arStage), g.allreduce, vec, op)
 }
 
 // Bcast distributes root's buf to every member (binomial tree over the
@@ -315,57 +252,16 @@ func (g *Group) Bcast(buf []byte, root int) error {
 	if root < 0 || root >= g.size {
 		return fmt.Errorf("coll: root %d out of range", root)
 	}
-	gen := g.gen
-	g.gen++
-	vrank := (g.rank - root + g.size) % g.size
-	slot := uint64(int(gen%2) * g.cfg.MaxMsg)
-
-	// Receive from the parent, if any.
-	mask := 1
-	parent := -1
-	for mask < g.size {
-		if vrank&mask != 0 {
-			parent = ((vrank &^ mask) + root) % g.size
-			if err := g.waitBits(bits(opBcast, gen, 0)); err != nil {
-				return err
-			}
-			copy(buf, g.bcStage[slot:slot+uint64(len(buf))])
-			// Credit the parent: our slot for gen is drained.
-			if err := g.put(parent, bits(opAck, gen, 0), nil, 0); err != nil {
-				return err
-			}
-			break
-		}
-		mask <<= 1
+	l := g.begin(opBcast, g.bcStage)
+	steps := BinomialBcast(g.rank, g.size, root)
+	if err := Run(l, steps, buf, nil, nil); err != nil {
+		return err
 	}
-	// Forward to children, then collect their credits.
-	children := 0
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if vrank+mask < g.size {
-			to := ((vrank + mask) + root) % g.size
-			if err := g.put(to, bits(opBcast, gen, 0), buf, slot); err != nil {
-				return err
-			}
-			children++
-		}
-	}
-	for i := 0; i < children; i++ {
-		if err := g.waitBits(bits(opAck, gen, 0)); err != nil {
+	// Every child credits us once it has drained its slot.
+	for i := sends(steps); i > 0; i-- {
+		if err := g.waitBits(matchBits(opAck, l.gen, 0)); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func encodeF64(v []float64, buf []byte) []byte {
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
-	}
-	return buf[:8*len(v)]
-}
-
-func decodeF64(buf []byte, v []float64) {
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
 }

@@ -1,17 +1,19 @@
-// Triggered collectives: the same operations as coll.Group, rebuilt as
-// pre-armed triggered-operation chains (ct.go) so they progress entirely
-// on the delivery lanes — the Portals-4 §3.15 offload model. The host's
-// role per collective shrinks to: arm this generation's triggered ops,
-// contribute its own arrival, and (eventually) wait on a counter. Between
-// those two points every hop of the tree — child arrivals, NIC-side
-// accumulation, the root's turnaround, the down-wave fan-out — executes
-// inside HandleIncomingInto on whichever lane crossed the threshold, with
-// zero host wakeups. That gap is what experiment E15 measures: a collective
-// that completes *under* a compute burn instead of after it.
+// Triggered collectives: TGroup runs the binomial tree schedules rooted
+// at rank 0 (schedule.go) on the triggered executor, which pre-arms each
+// send as a triggered operation (ct.go) so the collective progresses
+// entirely on the delivery lanes — the Portals-4 §3.15 offload model. The
+// host's role per collective shrinks to: arm this generation's triggered
+// ops, contribute its own arrival, and (eventually) wait on a counter.
+// Between those two points every hop of the tree — child arrivals,
+// NIC-side accumulation, the root's turnaround, the down-wave fan-out —
+// executes inside HandleIncomingInto on whichever lane crossed the
+// threshold, with zero host wakeups. That gap is what experiment E15
+// measures: a collective that completes *under* a compute burn instead
+// of after it.
 //
-// Topology is a binary tree over ranks (parent (r-1)/2, children 2r+1 and
-// 2r+2), fixed at group creation; TBcast is therefore rooted at rank 0.
-// All counters are MONOTONE — generation g's thresholds are g·k for a
+// Barrier and allreduce are BinomialReduce followed by BinomialBcast, the
+// composition mpi.Comm.Allreduce runs; the barrier carries no data. All
+// counters are MONOTONE — generation g's thresholds are g·k for a
 // per-generation contribution k, so counters are never reset and a
 // straggler's late arrivals from generation g-1 can never corrupt
 // generation g (they were already counted toward g-1's threshold).
@@ -42,30 +44,113 @@ const ptlTrig portals.PtlIndex = 5
 // (ignore 0): arrivals are anonymous counter increments, so nothing
 // per-generation needs to ride in the bits.
 const (
-	mbBarUp   portals.MatchBits = 0x71 // barrier up-wave arrival
-	mbBarDn   portals.MatchBits = 0x72 // barrier down-wave release
-	mbArAcc   portals.MatchBits = 0x73 // allreduce contribution (accumulating)
-	mbArRdy   portals.MatchBits = 0x74 // allreduce parent-ready credit
-	mbArDn    portals.MatchBits = 0x75 // allreduce down-wave result
-	mbBcData  portals.MatchBits = 0x76 // broadcast payload
-	mbBcCred0 portals.MatchBits = 0x77 // broadcast subtree-released credit, first child
-	mbBcCred1 portals.MatchBits = 0x78 // broadcast subtree-released credit, second child
+	mbBarUp  portals.MatchBits = 0x71 // barrier up-wave arrival
+	mbBarDn  portals.MatchBits = 0x72 // barrier down-wave release
+	mbArAcc  portals.MatchBits = 0x73 // allreduce contribution (accumulating)
+	mbArRdy  portals.MatchBits = 0x74 // allreduce parent-ready credit
+	mbArDn   portals.MatchBits = 0x75 // allreduce down-wave result
+	mbBcData portals.MatchBits = 0x76 // broadcast payload
+	// mbBcCred+k is the broadcast subtree-released credit from the child
+	// whose tree edge has phase k.
+	mbBcCred portals.MatchBits = 0x77
 )
+
+// texec is the triggered executor: it arms the sends of one rank's tree
+// schedules as triggered puts on monotone counters.
+type texec struct {
+	ni       *portals.NI
+	ids      []portals.ProcessID
+	up, down []Step // BinomialReduce and BinomialBcast rooted at 0
+	rank     int
+	nc       uint64 // fan-out: the bcast's sends
+}
+
+func newTexec(ni *portals.NI, rank int, ids []portals.ProcessID) texec {
+	x := texec{
+		ni: ni, ids: ids, rank: rank,
+		up:   BinomialReduce(rank, len(ids), 0),
+		down: BinomialBcast(rank, len(ids), 0),
+	}
+	x.nc = uint64(sends(x.down))
+	return x
+}
+
+// fire sends md to every To of steps, carrying mb at off: a triggered
+// put firing when ct reaches at, or, with at 0, a put issued now.
+func (x *texec) fire(steps []Step, md portals.Handle, mb portals.MatchBits, off uint64, ct portals.Handle, at uint64) error {
+	for _, s := range steps {
+		if s.To < 0 {
+			continue
+		}
+		var err error
+		if at == 0 {
+			err = x.ni.Put(md, portals.NoAckReq, x.ids[s.To], ptlTrig, 0, mb, off)
+		} else {
+			err = x.ni.TriggeredPut(md, portals.NoAckReq, x.ids[s.To], ptlTrig, 0, mb, off, ct, at)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// send fires a descriptor over data that unlinks after its last send;
+// each send increments sent once it has read data.
+func (x *texec) send(steps []Step, data []byte, sent portals.Handle, mb portals.MatchBits, off uint64, ct portals.Handle, at uint64) error {
+	n := sends(steps)
+	if n == 0 {
+		return nil
+	}
+	md, err := x.ni.MDBind(portals.MD{
+		Start: data, Threshold: int32(n),
+		Options: portals.MDCTSend, CT: sent,
+	}, portals.Unlink)
+	if err != nil {
+		return err
+	}
+	return x.fire(steps, md, mb, off, ct, at)
+}
+
+// doneAt is where generation g of reduce-then-bcast completes here, and
+// so where the fan-out fires: the root's reduce on up, else the parent's
+// message on down.
+func (x *texec) doneAt(g uint64, up, down portals.Handle) (portals.Handle, uint64) {
+	if x.rank == 0 {
+		return up, g * (x.nc + 1)
+	}
+	return down, g
+}
+
+// tprog is one collective class's progress on the executor.
+type tprog struct {
+	gen uint64 //lint:guardedby confined  completed generations (next is +1)
+	n   int    //lint:guardedby confined  elements or bytes in the in-flight operation
+}
+
+func (p *tprog) start(n int) uint64 {
+	p.gen++
+	p.n = n
+	return p.gen
+}
+
+// wait returns the generation in flight if Wait's size matches Start's.
+func (p *tprog) wait(n int) (uint64, error) {
+	if n != p.n {
+		return 0, fmt.Errorf("coll: wait size %d != started %d", n, p.n)
+	}
+	return p.gen, nil
+}
 
 // TGroup is one member's endpoint of a triggered (NIC-offloaded)
 // collective group. Calls must come from a single goroutine, in the same
 // order on every member; at most one operation of each class may be
 // outstanding (Start without its Wait) at a time. The single-goroutine
-// contract is machine-checked: the mutable progress fields below are
+// contract is machine-checked: the progress fields of tprog are
 // //lint:guardedby confined (docs/LINT.md).
 type TGroup struct {
-	ni       *portals.NI
-	rank     int
-	size     int
-	ids      []portals.ProcessID
-	cfg      Config
-	parent   int   // -1 for rank 0
-	children []int // ranks 2r+1, 2r+2 when < size
+	texec
+	cfg Config
 
 	// mdSig is the persistent zero-length descriptor every signalling put
 	// (barrier waves, credits) fires from.
@@ -77,61 +162,46 @@ type TGroup struct {
 	// down-wave result arrival, ctASent this member's fired data sends.
 	ctAr, ctADn, ctASent portals.Handle
 	// Bcast: ctBc counts data arrivals, ctBSent fired forwards, and
-	// ctCred[i] child i's subtree-released credits. Credits are counted
-	// PER CHILD, not summed: the release window needs the minimum over
-	// children, and a shared counter cannot distinguish a fast child two
-	// generations ahead from both children done (sum-vs-min — the trap
+	// ctCred[i] the i-th child's subtree-released credits. Credits are
+	// counted PER CHILD, not summed: the release window needs the minimum
+	// over children, and a shared counter cannot distinguish a fast child
+	// two generations ahead from all children done (sum-vs-min — the trap
 	// that anonymous counting events genuinely cannot express).
 	ctBc, ctBSent portals.Handle
-	ctCred        [2]portals.Handle
+	ctCred        []portals.Handle
 
-	genBar, genAr, genBc uint64 //lint:guardedby confined  completed generations (next is +1)
+	bar, ar, bc tprog
 
 	arStage  []byte // 2 parity slots × 8·MaxVec: accumulating reduction
 	aDnStage []byte // 2 parity slots × 8·MaxVec: down-wave result
 	bcStage  []byte // 2 parity slots × MaxMsg: broadcast payload
 
-	arLen int //lint:guardedby confined  elements in the in-flight allreduce (Start..Wait)
-	bcLen int //lint:guardedby confined  bytes in the in-flight bcast
-
 	// Timeout bounds every internal counter wait. Default 30s.
 	Timeout time.Duration
 }
 
-// NewTGroup arms rank's persistent triggered-collective resources: eight
-// counting events, seven counting match entries (none carries an event
-// queue — completions are counter increments, not events), and one
-// zero-length signalling descriptor. ids must be identical on every
-// member.
+// NewTGroup arms rank's persistent triggered-collective resources: seven
+// counting events and one per child, a counting match entry per arrival
+// class and child (none carries an event queue — completions are counter
+// increments, not events), and one zero-length signalling descriptor.
+// ids must be identical on every member.
 func NewTGroup(ni *portals.NI, rank int, ids []portals.ProcessID, cfg Config) (*TGroup, error) {
 	if rank < 0 || rank >= len(ids) {
 		return nil, fmt.Errorf("coll: rank %d out of range", rank)
 	}
 	cfg = cfg.withDefaults()
 	t := &TGroup{
-		ni: ni, rank: rank, size: len(ids),
-		ids:     append([]portals.ProcessID(nil), ids...),
+		texec:   newTexec(ni, rank, append([]portals.ProcessID(nil), ids...)),
 		cfg:     cfg,
-		parent:  (rank - 1) / 2,
 		Timeout: 30 * time.Second,
-	}
-	if rank == 0 {
-		t.parent = -1
-	}
-	for _, c := range []int{2*rank + 1, 2*rank + 2} {
-		if c < t.size {
-			t.children = append(t.children, c)
-		}
 	}
 	slot := 8 * cfg.MaxVec
 	t.arStage = make([]byte, 2*slot)
 	t.aDnStage = make([]byte, 2*slot)
 	t.bcStage = make([]byte, 2*cfg.MaxMsg)
+	t.ctCred = make([]portals.Handle, t.nc)
 
-	for _, ct := range []*portals.Handle{
-		&t.ctUp, &t.ctDn, &t.ctAr, &t.ctADn, &t.ctASent,
-		&t.ctBc, &t.ctBSent, &t.ctCred[0], &t.ctCred[1],
-	} {
+	for _, ct := range t.counters() {
 		h, err := ni.CTAlloc()
 		if err != nil {
 			return nil, err
@@ -141,42 +211,36 @@ func NewTGroup(ni *portals.NI, rank int, ids []portals.ProcessID, cfg Config) (*
 
 	// One counting ME per arrival class. MDCTPut routes each delivery into
 	// the class's counter; no EQ means no queue to drain or overflow.
-	arm := func(mb portals.MatchBits, buf []byte, ct portals.Handle, opts portals.MDOptions) error {
-		me, err := ni.MEAttach(ptlTrig, portals.AnyProcess, mb, 0, portals.Retain, portals.After)
+	type entry struct {
+		mb   portals.MatchBits
+		buf  []byte
+		ct   portals.Handle
+		opts portals.MDOptions
+	}
+	entries := []entry{
+		{mbBarUp, nil, t.ctUp, 0},
+		{mbBarDn, nil, t.ctDn, 0},
+		{mbArAcc, t.arStage, t.ctAr, portals.MDAccumulate},
+		{mbArRdy, nil, t.ctAr, 0},
+		{mbArDn, t.aDnStage, t.ctADn, 0},
+		{mbBcData, t.bcStage, t.ctBc, 0},
+	}
+	for i, s := range t.down[len(t.down)-len(t.ctCred):] { // the sends trail the receive
+		entries = append(entries, entry{mbBcCred + portals.MatchBits(s.Phase), nil, t.ctCred[i], 0})
+	}
+	for _, e := range entries {
+		me, err := ni.MEAttach(ptlTrig, portals.AnyProcess, e.mb, 0, portals.Retain, portals.After)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		_, err = ni.MDAttach(me, portals.MD{
-			Start:     buf,
+		if _, err := ni.MDAttach(me, portals.MD{
+			Start:     e.buf,
 			Threshold: portals.ThresholdInfinite,
-			Options:   portals.MDOpPut | portals.MDManageRemote | portals.MDCTPut | opts,
-			CT:        ct,
-		}, portals.Retain)
-		return err
-	}
-	if err := arm(mbBarUp, nil, t.ctUp, 0); err != nil {
-		return nil, err
-	}
-	if err := arm(mbBarDn, nil, t.ctDn, 0); err != nil {
-		return nil, err
-	}
-	if err := arm(mbArAcc, t.arStage, t.ctAr, portals.MDAccumulate); err != nil {
-		return nil, err
-	}
-	if err := arm(mbArRdy, nil, t.ctAr, 0); err != nil {
-		return nil, err
-	}
-	if err := arm(mbArDn, t.aDnStage, t.ctADn, 0); err != nil {
-		return nil, err
-	}
-	if err := arm(mbBcData, t.bcStage, t.ctBc, 0); err != nil {
-		return nil, err
-	}
-	if err := arm(mbBcCred0, nil, t.ctCred[0], 0); err != nil {
-		return nil, err
-	}
-	if err := arm(mbBcCred1, nil, t.ctCred[1], 0); err != nil {
-		return nil, err
+			Options:   portals.MDOpPut | portals.MDManageRemote | portals.MDCTPut | e.opts,
+			CT:        e.ct,
+		}, portals.Retain); err != nil {
+			return nil, err
+		}
 	}
 
 	sig, err := ni.MDBind(portals.MD{Threshold: portals.ThresholdInfinite}, portals.Retain)
@@ -187,12 +251,18 @@ func NewTGroup(ni *portals.NI, rank int, ids []portals.ProcessID, cfg Config) (*
 	return t, nil
 }
 
+// counters lists the group's counting events.
+func (t *TGroup) counters() []*portals.Handle {
+	cts := []*portals.Handle{&t.ctUp, &t.ctDn, &t.ctAr, &t.ctADn, &t.ctASent, &t.ctBc, &t.ctBSent}
+	for i := range t.ctCred {
+		cts = append(cts, &t.ctCred[i])
+	}
+	return cts
+}
+
 // Rank and Size report group coordinates.
 func (t *TGroup) Rank() int { return t.rank }
-func (t *TGroup) Size() int { return t.size }
-
-// nc returns the fan-out below this member.
-func (t *TGroup) nc() uint64 { return uint64(len(t.children)) }
+func (t *TGroup) Size() int { return len(t.ids) }
 
 // wait blocks for ct's success count to reach threshold under the group
 // timeout, translating the miss into a collective error.
@@ -201,11 +271,6 @@ func (t *TGroup) wait(ct portals.Handle, threshold uint64, what string) error {
 		return fmt.Errorf("coll: triggered %s: %w", what, err)
 	}
 	return nil
-}
-
-// signal arms a zero-length triggered put from mdSig to dst's mb entry.
-func (t *TGroup) signal(dst int, mb portals.MatchBits, on portals.Handle, threshold uint64) error {
-	return t.ni.TriggeredPut(t.mdSig, portals.NoAckReq, t.ids[dst], ptlTrig, 0, mb, 0, on, threshold)
 }
 
 // BarrierStart arms generation g's chain and contributes this member's
@@ -217,27 +282,13 @@ func (t *TGroup) signal(dst int, mb portals.MatchBits, on portals.Handle, thresh
 // for self) and ctDn by 1 (the parent's release), so the monotone
 // thresholds are g·(nc+1) and g.
 func (t *TGroup) BarrierStart() error {
-	t.genBar++
-	g := t.genBar
-	up := g * (t.nc() + 1)
-	if t.rank == 0 {
-		// Root: subtree complete ⇒ release the children.
-		for _, c := range t.children {
-			if err := t.signal(c, mbBarDn, t.ctUp, up); err != nil {
-				return err
-			}
-		}
-	} else {
-		// Non-root: subtree complete ⇒ tell the parent; released ⇒
-		// forward the release downward.
-		if err := t.signal(t.parent, mbBarUp, t.ctUp, up); err != nil {
-			return err
-		}
-		for _, c := range t.children {
-			if err := t.signal(c, mbBarDn, t.ctDn, g); err != nil {
-				return err
-			}
-		}
+	g := t.bar.start(0)
+	if err := t.fire(t.up, t.mdSig, mbBarUp, 0, t.ctUp, g*(t.nc+1)); err != nil {
+		return err
+	}
+	ct, at := t.doneAt(g, t.ctUp, t.ctDn)
+	if err := t.fire(t.down, t.mdSig, mbBarDn, 0, ct, at); err != nil {
+		return err
 	}
 	return t.ni.CTInc(t.ctUp, portals.CTValue{Success: 1})
 }
@@ -245,11 +296,9 @@ func (t *TGroup) BarrierStart() error {
 // BarrierWait blocks until every member has entered generation g's
 // barrier.
 func (t *TGroup) BarrierWait() error {
-	g := t.genBar
-	if t.rank == 0 {
-		return t.wait(t.ctUp, g*(t.nc()+1), "barrier")
-	}
-	return t.wait(t.ctDn, g, "barrier")
+	g, _ := t.bar.wait(0)
+	ct, at := t.doneAt(g, t.ctUp, t.ctDn)
+	return t.wait(ct, at, "barrier")
 }
 
 // Barrier blocks until all members arrive.
@@ -260,8 +309,21 @@ func (t *TGroup) Barrier() error {
 	return t.BarrierWait()
 }
 
-// arSlotOff returns the parity staging offset for generation g.
-func (t *TGroup) arSlotOff(g uint64) uint64 { return (g % 2) * uint64(8*t.cfg.MaxVec) }
+// slot returns generation g's parity slot of stage, whose slots are size
+// bytes apart, cut to n bytes, and its offset.
+func slot(stage []byte, size int, g uint64, n int) ([]byte, uint64) {
+	off := int(g%2) * size
+	return stage[off : off+n], uint64(off)
+}
+
+// arResult is the stage that holds the allreduce result on this member:
+// the root's own accumulation, everyone else's down-wave arrival.
+func (t *TGroup) arResult() []byte {
+	if t.rank == 0 {
+		return t.arStage
+	}
+	return t.aDnStage
+}
 
 // AllreduceSumStart begins a global float64 sum of vec. The reduction is
 // performed BY THE DELIVERY ENGINE: contributions land in an accumulating
@@ -278,61 +340,29 @@ func (t *TGroup) AllreduceSumStart(vec []float64) error {
 	if len(vec) > t.cfg.MaxVec {
 		return fmt.Errorf("coll: vector %d exceeds MaxVec %d", len(vec), t.cfg.MaxVec)
 	}
-	t.genAr++
-	g := t.genAr
-	t.arLen = len(vec)
-	n := uint64(8 * len(vec))
-	off := t.arSlotOff(g)
-	nc := t.nc()
+	g := t.ar.start(len(vec))
+	own, off := slot(t.arStage, 8*t.cfg.MaxVec, g, 8*len(vec))
+	res, _ := slot(t.arResult(), 8*t.cfg.MaxVec, g, 8*len(vec))
 
 	// Reinitialise the parity slot with our own contribution. Safe: the
 	// slot's generation-(g-2) readers finished before Wait(g-1) returned
 	// (ctASent), and generation-g writers are gated on the ready credits
 	// sent below.
-	encodeF64(vec, t.arStage[off:off+n])
+	EncodeF64(vec, own)
 
-	if t.rank != 0 {
-		// Subtree sum complete + parent ready ⇒ send our slot upward.
-		mdUp, err := t.ni.MDBind(portals.MD{
-			Start: t.arStage[off : off+n], Threshold: 1,
-			Options: portals.MDCTSend, CT: t.ctASent,
-		}, portals.Unlink)
-		if err != nil {
-			return err
-		}
-		if err := t.ni.TriggeredPut(mdUp, portals.NoAckReq, t.ids[t.parent],
-			ptlTrig, 0, mbArAcc, off, t.ctAr, g*(nc+2)); err != nil {
-			return err
-		}
+	// Subtree sum complete + parent ready ⇒ send our slot upward.
+	if err := t.send(t.up, own, t.ctASent, mbArAcc, off, t.ctAr, g*(t.nc+2)); err != nil {
+		return err
 	}
-	if nc > 0 {
-		// Down-wave: the root forwards its finished slot when the subtree
-		// completes; inner members forward the result they received. The
-		// descriptor's threshold is the fan-out, so it auto-unlinks after
-		// its last fire.
-		src, on, at := t.aDnStage[off:off+n], t.ctADn, g
-		if t.rank == 0 {
-			src, on, at = t.arStage[off:off+n], t.ctAr, g*(nc+1)
-		}
-		mdDn, err := t.ni.MDBind(portals.MD{
-			Start: src, Threshold: int32(nc),
-			Options: portals.MDCTSend, CT: t.ctASent,
-		}, portals.Unlink)
-		if err != nil {
-			return err
-		}
-		for _, c := range t.children {
-			if err := t.ni.TriggeredPut(mdDn, portals.NoAckReq, t.ids[c],
-				ptlTrig, 0, mbArDn, off, on, at); err != nil {
-				return err
-			}
-		}
-		// Our slot is reinitialised: release the children's up-sends.
-		for _, c := range t.children {
-			if err := t.ni.Put(t.mdSig, portals.NoAckReq, t.ids[c], ptlTrig, 0, mbArRdy, 0); err != nil {
-				return err
-			}
-		}
+	// Down-wave: the root forwards its finished slot when the subtree
+	// completes; inner members forward the result they received.
+	ct, at := t.doneAt(g, t.ctAr, t.ctADn)
+	if err := t.send(t.down, res, t.ctASent, mbArDn, off, ct, at); err != nil {
+		return err
+	}
+	// Our slot is reinitialised: release the children's up-sends.
+	if err := t.fire(t.down, t.mdSig, mbArRdy, 0, portals.InvalidHandle, 0); err != nil {
+		return err
 	}
 	return t.ni.CTInc(t.ctAr, portals.CTValue{Success: 1})
 }
@@ -340,30 +370,20 @@ func (t *TGroup) AllreduceSumStart(vec []float64) error {
 // AllreduceSumWait blocks for the result and decodes it into vec (which
 // must be the Start slice, or one of equal length).
 func (t *TGroup) AllreduceSumWait(vec []float64) error {
-	g := t.genAr
-	if len(vec) != t.arLen {
-		return fmt.Errorf("coll: wait vector %d != started %d", len(vec), t.arLen)
-	}
-	off := t.arSlotOff(g)
-	nc := t.nc()
-	src := t.aDnStage
-	if t.rank == 0 {
-		if err := t.wait(t.ctAr, g*(nc+1), "allreduce"); err != nil {
-			return err
-		}
-		src = t.arStage
-	} else if err := t.wait(t.ctADn, g, "allreduce"); err != nil {
+	g, err := t.ar.wait(len(vec))
+	if err != nil {
 		return err
 	}
-	decodeF64(src[off:off+uint64(8*len(vec))], vec)
+	ct, at := t.doneAt(g, t.ctAr, t.ctADn)
+	if err := t.wait(ct, at, "allreduce"); err != nil {
+		return err
+	}
+	res, _ := slot(t.arResult(), 8*t.cfg.MaxVec, g, 8*len(vec))
+	DecodeF64(res, vec)
 	// Slot-recycle fence: generation g's fired sends have read their
 	// slots once ctASent reaches g·(sends per generation).
-	sends := nc
-	if t.rank != 0 {
-		sends++
-	}
-	if sends > 0 {
-		return t.wait(t.ctASent, g*sends, "allreduce sends")
+	if s := t.nc + uint64(sends(t.up)); s > 0 {
+		return t.wait(t.ctASent, g*s, "allreduce sends")
 	}
 	return nil
 }
@@ -390,17 +410,14 @@ func (t *TGroup) bcWindow(g uint64) error {
 	if g <= 2 {
 		return nil
 	}
-	for i := range t.children {
-		if err := t.wait(t.ctCred[i], g-2, "bcast window"); err != nil {
+	for _, ct := range t.ctCred {
+		if err := t.wait(ct, g-2, "bcast window"); err != nil {
 			return err
 		}
 	}
 	if t.rank != 0 {
-		mb := mbBcCred0
-		if t.rank == 2*t.parent+2 {
-			mb = mbBcCred1
-		}
-		return t.ni.Put(t.mdSig, portals.NoAckReq, t.ids[t.parent], ptlTrig, 0, mb, 0)
+		p := t.down[0] // the receive from the parent
+		return t.ni.Put(t.mdSig, portals.NoAckReq, t.ids[p.From], ptlTrig, 0, mbBcCred+portals.MatchBits(p.Phase), 0)
 	}
 	return nil
 }
@@ -413,66 +430,34 @@ func (t *TGroup) BcastStart(buf []byte) error {
 	if len(buf) > t.cfg.MaxMsg {
 		return fmt.Errorf("coll: message %d exceeds MaxMsg %d", len(buf), t.cfg.MaxMsg)
 	}
-	t.genBc++
-	g := t.genBc
-	t.bcLen = len(buf)
-	off := (g % 2) * uint64(t.cfg.MaxMsg)
-	nc := t.nc()
-
+	g := t.bc.start(len(buf))
 	if err := t.bcWindow(g); err != nil {
 		return err
 	}
+	src, off := slot(t.bcStage, t.cfg.MaxMsg, g, len(buf))
+	at := g
 	if t.rank == 0 {
 		// The root's sends are host-initiated by nature — it is the data
 		// source. startPut copies synchronously, so buf is free on return.
-		if nc > 0 {
-			md, err := t.ni.MDBind(portals.MD{Start: buf, Threshold: int32(nc)}, portals.Unlink)
-			if err != nil {
-				return err
-			}
-			for _, c := range t.children {
-				if err := t.ni.Put(md, portals.NoAckReq, t.ids[c], ptlTrig, 0, mbBcData, off); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		src, at = buf, 0
 	}
-	if nc > 0 {
-		mdFw, err := t.ni.MDBind(portals.MD{
-			Start: t.bcStage[off : off+uint64(len(buf))], Threshold: int32(nc),
-			Options: portals.MDCTSend, CT: t.ctBSent,
-		}, portals.Unlink)
-		if err != nil {
-			return err
-		}
-		for _, c := range t.children {
-			if err := t.ni.TriggeredPut(mdFw, portals.NoAckReq, t.ids[c],
-				ptlTrig, 0, mbBcData, off, t.ctBc, g); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return t.send(t.down, src, t.ctBSent, mbBcData, off, t.ctBc, at)
 }
 
 // BcastWait blocks for the payload (non-root) and copies it into buf.
 func (t *TGroup) BcastWait(buf []byte) error {
-	g := t.genBc
-	if len(buf) != t.bcLen {
-		return fmt.Errorf("coll: wait buffer %d != started %d", len(buf), t.bcLen)
+	g, err := t.bc.wait(len(buf))
+	if err != nil || t.rank == 0 {
+		return err
 	}
-	if t.rank == 0 {
-		return nil
-	}
-	off := (g % 2) * uint64(t.cfg.MaxMsg)
 	if err := t.wait(t.ctBc, g, "bcast"); err != nil {
 		return err
 	}
-	copy(buf, t.bcStage[off:off+uint64(len(buf))])
-	if nc := t.nc(); nc > 0 {
+	src, _ := slot(t.bcStage, t.cfg.MaxMsg, g, len(buf))
+	copy(buf, src)
+	if t.nc > 0 {
 		// Forwards have read the slot once their send counter crosses.
-		return t.wait(t.ctBSent, g*nc, "bcast forwards")
+		return t.wait(t.ctBSent, g*t.nc, "bcast forwards")
 	}
 	return nil
 }
@@ -491,11 +476,8 @@ func (t *TGroup) Bcast(buf []byte) error {
 // descriptor are released with the interface.
 func (t *TGroup) Close() error {
 	var first error
-	for _, ct := range []portals.Handle{
-		t.ctUp, t.ctDn, t.ctAr, t.ctADn, t.ctASent,
-		t.ctBc, t.ctBSent, t.ctCred[0], t.ctCred[1],
-	} {
-		if err := t.ni.CTFree(ct); err != nil && first == nil {
+	for _, ct := range t.counters() {
+		if err := t.ni.CTFree(*ct); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -111,11 +111,11 @@ func timeDirect(fab portals.Fabric, n, iters, vec int) (map[string]time.Duration
 
 // E15 — the offload thesis taken to its conclusion: collectives whose whole
 // progression is NIC-resident (internal/coll.TGroup, triggered operations
-// armed against counting events) versus the same tree driven by host code
-// (coll.Group). Each rank starts the collective, burns CPU making no
+// armed against counting events) versus the same operations driven by host
+// code (coll.Group). Each rank starts the collective, burns CPU making no
 // library calls, then waits. With the chain offloaded the collective
 // progresses on the delivery lanes DURING the burn, so per-op time tends
-// to max(burn, latency); the host-driven tree cannot progress until the
+// to max(burn, latency); the host-driven one cannot progress until the
 // burn ends, so it pays burn + latency. The gap — Hidden — is the latency
 // the offload buries under compute interference.
 
@@ -189,6 +189,18 @@ func RunOffload(fab portals.Fabric, procs int, burn time.Duration, cfg OffloadCo
 		})
 	}
 	return out, nil
+}
+
+// checkSum verifies the result of allreduce iteration i over n ranks, in
+// which rank r contributed r+i in every element.
+func checkSum(v []float64, n, i int) error {
+	want := float64(n*i + n*(n-1)/2)
+	for k, x := range v {
+		if x != want {
+			return fmt.Errorf("allreduce iteration %d: element %d is %v, want %v", i, k, x, want)
+		}
+	}
+	return nil
 }
 
 // runRanks times iters repetitions of step on n concurrent rank loops and
@@ -269,7 +281,10 @@ func timeOffloaded(fab portals.Fabric, n int, burn time.Duration, cfg OffloadCon
 			return err
 		}
 		burnSpan(ids[r], uint64(1_000_000+i), burn)
-		return tg.AllreduceSumWait(v)
+		if err := tg.AllreduceSumWait(v); err != nil {
+			return err
+		}
+		return checkSum(v, n, i)
 	})
 	if err != nil {
 		return nil, err
@@ -314,7 +329,10 @@ func timeHostDriven(fab portals.Fabric, n int, burn time.Duration, cfg OffloadCo
 			v[k] = float64(r + i)
 		}
 		burnSpan(ids[r], uint64(3_000_000+i), burn)
-		return groups[r].Allreduce(v, coll.Sum)
+		if err := groups[r].Allreduce(v, coll.Sum); err != nil {
+			return err
+		}
+		return checkSum(v, n, i)
 	})
 	if err != nil {
 		return nil, err

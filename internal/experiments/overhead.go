@@ -112,8 +112,9 @@ func ReceiveOverhead(model portals.NICModel, interruptCost time.Duration, cfg Ov
 	if err != nil {
 		return OverheadResult{}, err
 	}
+	streaming := make(chan struct{})
 	go func() {
-		for {
+		for first := true; ; first = false {
 			select {
 			case <-stop:
 				senderDone <- nil
@@ -124,18 +125,33 @@ func ReceiveOverhead(model portals.NICModel, interruptCost time.Duration, cfg Ov
 				senderDone <- err
 				return
 			}
+			if first {
+				close(streaming)
+			}
 			if cfg.MsgGap > 0 {
 				time.Sleep(cfg.MsgGap)
 			}
 		}
 	}()
 
+	select {
+	case <-streaming:
+	case err := <-senderDone:
+		return OverheadResult{}, err
+	}
 	res.LoadedCompute = computeLoop(cfg.ComputeIters)
 	close(stop)
 	if err := <-senderDone; err != nil {
 		return OverheadResult{}, err
 	}
+	// Quiesce before reading the counters: until every message put has
+	// been delivered or dropped they are torn — an interrupt taken for a
+	// message whose delivery is not counted yet.
+	sent := tx.Status().SendMsgs
 	st := rx.Status()
+	for deadline := time.Now().Add(5 * time.Second); st.RecvMsgs+st.Dropped < sent && time.Now().Before(deadline); st = rx.Status() {
+		time.Sleep(time.Millisecond)
+	}
 	res.Messages = st.RecvMsgs
 	res.Interrupts = st.Interrupts
 	if res.IdleCompute > 0 {

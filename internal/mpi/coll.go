@@ -1,9 +1,9 @@
 package mpi
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+
+	"repro/internal/coll"
 )
 
 // Collective operations implemented over the point-to-point layer with
@@ -16,20 +16,34 @@ func (c *Comm) collTag(r int) int {
 	return 1<<30 | int(c.collSeq&0x3FFFFF)<<8 | (r & 0xFF)
 }
 
+// collLink carries the shared schedules (internal/coll) over the
+// point-to-point layer: a schedule phase is the reserved tag's round.
+type collLink Comm
+
+func (l *collLink) Send(to, phase int, data []byte) error {
+	c := (*Comm)(l)
+	return c.Send(data, to, c.collTag(phase))
+}
+
+func (l *collLink) Recv(from, phase int, data []byte) error {
+	c := (*Comm)(l)
+	_, err := c.Recv(data, from, c.collTag(phase))
+	return err
+}
+
+// collErr names the collective that failed.
+func collErr(what string, err error) error {
+	if err != nil {
+		return fmt.Errorf("mpi: %s: %w", what, err)
+	}
+	return nil
+}
+
 // Barrier blocks until every rank has entered it (dissemination
 // algorithm: ⌈log2 n⌉ rounds of pairwise token exchange).
 func (c *Comm) Barrier() error {
 	c.collSeq++
-	token := []byte{1}
-	buf := make([]byte, 1)
-	for r, dist := 0, 1; dist < c.size; r, dist = r+1, dist*2 {
-		dst := (c.rank + dist) % c.size
-		src := (c.rank - dist + c.size) % c.size
-		if _, err := c.Sendrecv(token, dst, c.collTag(r), buf, src, c.collTag(r)); err != nil {
-			return fmt.Errorf("mpi: barrier round %d: %w", r, err)
-		}
-	}
-	return nil
+	return collErr("barrier", coll.Run((*collLink)(c), coll.Dissemination(c.rank, c.size, 0), []byte{1}, nil, nil))
 }
 
 // Bcast distributes root's buf to every rank (binomial tree).
@@ -38,67 +52,17 @@ func (c *Comm) Bcast(buf []byte, root int) error {
 		return err
 	}
 	c.collSeq++
-	// Work in root-relative rank space so any root uses the same tree.
-	vrank := (c.rank - root + c.size) % c.size
-	// Climb the mask to the bit where this rank hangs off the tree and
-	// receive from the parent there; the root climbs past the top.
-	mask := 1
-	for mask < c.size {
-		if vrank&mask != 0 {
-			from := ((vrank &^ mask) + root) % c.size
-			if _, err := c.Recv(buf, from, c.collTag(0)); err != nil {
-				return fmt.Errorf("mpi: bcast recv: %w", err)
-			}
-			break
-		}
-		mask <<= 1
-	}
-	// Forward to children at every lower bit.
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if vrank+mask < c.size {
-			to := ((vrank + mask) + root) % c.size
-			if err := c.Send(buf, to, c.collTag(0)); err != nil {
-				return fmt.Errorf("mpi: bcast send: %w", err)
-			}
-		}
-	}
-	return nil
-}
-
-// bitsLen returns the number of significant bits in v (0 → 0).
-func bitsLen(v int) int {
-	n := 0
-	for v > 0 {
-		v >>= 1
-		n++
-	}
-	return n
+	return collErr("bcast", coll.Run((*collLink)(c), coll.BinomialBcast(c.rank, c.size, root), buf, nil, nil))
 }
 
 // Op combines two float64 vectors elementwise into dst.
-type Op func(dst, src []float64)
+type Op = coll.Op
 
 // Built-in reduction operators.
 var (
-	Sum Op = func(dst, src []float64) {
-		for i := range dst {
-			dst[i] += src[i]
-		}
-	}
-	Max Op = func(dst, src []float64) {
-		for i := range dst {
-			if src[i] > dst[i] {
-				dst[i] = src[i]
-			}
-		}
-	}
-	Min Op = func(dst, src []float64) {
-		for i := range dst {
-			if src[i] < dst[i] {
-				dst[i] = src[i]
-			}
-		}
-	}
+	Sum = coll.Sum
+	Max = coll.Max
+	Min = coll.Min
 )
 
 // Reduce combines every rank's vec with op; the result lands in root's
@@ -109,46 +73,18 @@ func (c *Comm) Reduce(vec []float64, op Op, root int) error {
 		return err
 	}
 	c.collSeq++
-	vrank := (c.rank - root + c.size) % c.size
-	tmp := make([]float64, len(vec))
-	buf := make([]byte, 8*len(vec))
-	for bit := 1; bit < c.size; bit <<= 1 {
-		if vrank&bit != 0 {
-			// Send partial to the subtree parent and exit.
-			parent := ((vrank &^ bit) + root) % c.size
-			if err := c.Send(f64ToBytes(vec, buf), parent, c.collTag(bitsLen(bit))); err != nil {
-				return fmt.Errorf("mpi: reduce send: %w", err)
-			}
-			return nil
-		}
-		child := vrank | bit
-		if child < c.size {
-			from := (child + root) % c.size
-			if _, err := c.Recv(buf, from, c.collTag(bitsLen(bit))); err != nil {
-				return fmt.Errorf("mpi: reduce recv: %w", err)
-			}
-			bytesToF64(buf, tmp)
-			op(vec, tmp)
-		}
-	}
-	return nil
+	return collErr("reduce", coll.RunVec((*collLink)(c), coll.BinomialReduce(c.rank, c.size, root), vec, op))
 }
 
-// Allreduce leaves the combined vector on every rank (reduce to rank 0,
-// then broadcast).
+// Allreduce leaves the combined vector on every rank: reduce to rank 0
+// and broadcast back, as one schedule — a phase's reduce message goes up
+// the tree, its broadcast message down, so the halves cannot mix.
 func (c *Comm) Allreduce(vec []float64, op Op) error {
-	if err := c.Reduce(vec, op, 0); err != nil {
-		return err
+	c.collSeq++
+	if c.allreduce == nil {
+		c.allreduce = append(coll.BinomialReduce(c.rank, c.size, 0), coll.BinomialBcast(c.rank, c.size, 0)...)
 	}
-	buf := make([]byte, 8*len(vec))
-	if c.rank == 0 {
-		f64ToBytes(vec, buf)
-	}
-	if err := c.Bcast(buf, 0); err != nil {
-		return err
-	}
-	bytesToF64(buf, vec)
-	return nil
+	return collErr("allreduce", coll.RunVec((*collLink)(c), c.allreduce, vec, op))
 }
 
 // Gather collects equal-sized blocks from every rank into root's out
@@ -209,17 +145,4 @@ func (c *Comm) Alltoall(send, recv []byte, block int) error {
 		reqs = append(reqs, req)
 	}
 	return WaitAll(reqs...)
-}
-
-func f64ToBytes(v []float64, buf []byte) []byte {
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(x))
-	}
-	return buf[:len(v)*8]
-}
-
-func bytesToF64(buf []byte, v []float64) {
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
 }

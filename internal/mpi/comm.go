@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 
+	"repro/internal/coll"
 	"repro/portals"
 )
 
@@ -90,7 +91,8 @@ type Comm struct {
 
 	armingReq *Request // receive being posted; overflow drain matches it
 
-	collSeq uint32 // collective-call sequence, advances identically on all ranks
+	collSeq   uint32      // collective-call sequence, advances identically on all ranks
+	allreduce []coll.Step // this rank's Allreduce schedule, built on first use
 
 	fatalErr error
 }

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"net"
 	"os/exec"
 	"strings"
 	"testing"
@@ -33,6 +34,48 @@ func runCmd(t *testing.T, timeout time.Duration, name string, args ...string) st
 		t.Fatalf("%s %v: %v\n%s", name, args, err, out)
 	}
 	return string(out)
+}
+
+// startChild starts a background process that is killed when the test
+// ends, however it ends, so a failed test never leaks it (or the ports it
+// holds).
+func startChild(t *testing.T, name string, args ...string) *exec.Cmd {
+	t.Helper()
+	cmd := exec.Command(name, args...)
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = cmd.Process.Kill() // fails harmlessly once the child has exited
+		_ = cmd.Wait()
+	})
+	return cmd
+}
+
+// freeAddrs returns n distinct 127.0.0.1 addresses whose ports the OS
+// picked for network ("tcp" or "udp"), released for child processes to
+// bind.
+func freeAddrs(t *testing.T, network string, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
+		var l interface{ Close() error }
+		if network == "udp" {
+			pc, err := net.ListenPacket("udp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, addrs[i] = pc, pc.LocalAddr().String()
+		} else {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, addrs[i] = ln, ln.Addr().String()
+		}
+		defer l.Close() // held until return, so the n ports are distinct
+	}
+	return addrs
 }
 
 func goRun(t *testing.T, timeout time.Duration, pkg string, args ...string) string {
@@ -173,17 +216,10 @@ func TestCmdPtlnodePair(t *testing.T) {
 	bin := t.TempDir() + "/ptlnode"
 	runCmd(t, 120*time.Second, "go", "build", "-o", bin, "./cmd/ptlnode")
 
-	pong := exec.Command(bin, "-nid", "1", "-listen", "127.0.0.1:9901",
-		"-peer", "2=127.0.0.1:9902", "-mode", "pong")
-	if err := pong.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		pong.Process.Kill()
-		pong.Wait()
-	}()
-	out := runCmd(t, 60*time.Second, bin, "-nid", "2", "-listen", "127.0.0.1:9902",
-		"-peer", "1=127.0.0.1:9901", "-mode", "ping", "-target", "1", "-count", "50", "-size", "256")
+	a := freeAddrs(t, "tcp", 2)
+	startChild(t, bin, "-nid", "1", "-listen", a[0], "-peer", "2="+a[1], "-mode", "pong")
+	out := runCmd(t, 60*time.Second, bin, "-nid", "2", "-listen", a[1],
+		"-peer", "1="+a[0], "-mode", "ping", "-target", "1", "-count", "50", "-size", "256")
 	if !strings.Contains(out, "round trips") || !strings.Contains(out, "avg RTT") {
 		t.Errorf("ptlnode output:\n%s", out)
 	}
@@ -196,17 +232,10 @@ func TestCmdPtlnodePairUDP(t *testing.T) {
 	bin := t.TempDir() + "/ptlnode"
 	runCmd(t, 120*time.Second, "go", "build", "-o", bin, "./cmd/ptlnode")
 
-	pong := exec.Command(bin, "-transport", "udp", "-nid", "1", "-listen", "127.0.0.1:9921",
-		"-peer", "2=127.0.0.1:9922", "-mode", "pong")
-	if err := pong.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		pong.Process.Kill()
-		pong.Wait()
-	}()
-	out := runCmd(t, 60*time.Second, bin, "-transport", "udp", "-nid", "2", "-listen", "127.0.0.1:9922",
-		"-peer", "1=127.0.0.1:9921", "-mode", "ping", "-target", "1", "-count", "50", "-size", "256")
+	a := freeAddrs(t, "udp", 2)
+	startChild(t, bin, "-transport", "udp", "-nid", "1", "-listen", a[0], "-peer", "2="+a[1], "-mode", "pong")
+	out := runCmd(t, 60*time.Second, bin, "-transport", "udp", "-nid", "2", "-listen", a[1],
+		"-peer", "1="+a[0], "-mode", "ping", "-target", "1", "-count", "50", "-size", "256")
 	if !strings.Contains(out, "round trips") || !strings.Contains(out, "avg RTT") {
 		t.Errorf("ptlnode -transport udp output:\n%s", out)
 	}
@@ -231,11 +260,8 @@ func TestCmdMpinodeJob(t *testing.T) {
 	bin := t.TempDir() + "/mpinode"
 	runCmd(t, 120*time.Second, "go", "build", "-o", bin, "./cmd/mpinode")
 
-	addrs := "127.0.0.1:9911,127.0.0.1:9912"
-	r1 := exec.Command(bin, "-rank", "1", "-n", "2", "-addrs", addrs, "-size", "4096", "-rounds", "2")
-	if err := r1.Start(); err != nil {
-		t.Fatal(err)
-	}
+	addrs := strings.Join(freeAddrs(t, "tcp", 2), ",")
+	r1 := startChild(t, bin, "-rank", "1", "-n", "2", "-addrs", addrs, "-size", "4096", "-rounds", "2")
 	out := runCmd(t, 60*time.Second, bin, "-rank", "0", "-n", "2", "-addrs", addrs, "-size", "4096", "-rounds", "2")
 	if err := r1.Wait(); err != nil {
 		t.Fatalf("rank 1: %v", err)
