@@ -64,8 +64,8 @@ bench:
 # the target — followed by the bench-diff regression gate when a baseline
 # artifact exists.
 bench-smoke:
-	$(GO) test -run=NONE -bench='TranslateExact|Translate|DeliveryLanes|TraceRecord|CountersParallel|SwarmSteady|CollOffload|CTIncrement|PortalsvetLoad' \
-		-benchtime=1x -cpu=$(BENCHCPUS) -json . ./internal/obs/trace ./internal/stats ./internal/lint | \
+	$(GO) test -run=NONE -bench='TranslateExact|Translate|DeliveryLanes|TraceRecord|CountersParallel|SwarmSteady|CollOffload|CTIncrement|PortalsvetLoad|EQPollWakeup' \
+		-benchtime=1x -cpu=$(BENCHCPUS) -json . ./internal/obs/trace ./internal/stats ./internal/lint ./internal/eventq | \
 		$(GO) run ./cmd/benchjson -label ci-smoke -min-results 20
 	@if [ -f BENCH_baseline.json ]; then $(MAKE) bench-diff; else echo "no BENCH_baseline.json; skipping bench-diff"; fi
 

@@ -91,7 +91,8 @@ type Group struct {
 	gen  uint32
 	link groupLink
 
-	allreduce []Step // this member's Allreduce schedule
+	allreduce []Step     // this member's Allreduce schedule
+	vec       VecScratch // Allreduce's encode and decode buffers
 
 	arStage []byte // allreduce staging: phases × 2 gens × slot
 	bcStage []byte // bcast staging: 2 gens × MaxMsg
@@ -240,7 +241,7 @@ func (g *Group) Allreduce(vec []float64, op Op) error {
 	if len(vec) > g.cfg.MaxVec {
 		return fmt.Errorf("coll: vector %d exceeds MaxVec %d", len(vec), g.cfg.MaxVec)
 	}
-	return RunVec(g.begin(opAllred, g.arStage), g.allreduce, vec, op)
+	return RunVec(g.begin(opAllred, g.arStage), g.allreduce, vec, op, &g.vec)
 }
 
 // Bcast distributes root's buf to every member (binomial tree over the

@@ -135,11 +135,24 @@ func Run(l Link, steps []Step, data, scratch []byte, fold func()) error {
 	return nil
 }
 
-// RunVec runs steps on a float64 vector, folding receives in with op.
-func RunVec(l Link, steps []Step, vec []float64, op Op) error {
-	buf := make([]byte, 16*len(vec))
+// VecScratch is RunVec's working memory: the encoded vector with its
+// receive staging, and a decode vector. Keep one per group or
+// communicator; the zero value is ready and grows once, to the largest
+// vector seen, so later reductions allocate nothing.
+type VecScratch struct {
+	buf []byte
+	tmp []float64
+}
+
+// RunVec runs steps on a float64 vector, folding receives in with op. s
+// holds the encode and decode buffers between calls.
+func RunVec(l Link, steps []Step, vec []float64, op Op, s *VecScratch) error {
+	if len(s.tmp) < len(vec) {
+		s.buf = make([]byte, 16*len(vec))
+		s.tmp = make([]float64, len(vec))
+	}
+	buf, tmp := s.buf[:16*len(vec)], s.tmp[:len(vec)]
 	data, in := EncodeF64(vec, buf), buf[8*len(vec):]
-	tmp := make([]float64, len(vec))
 	err := Run(l, steps, data, in, func() {
 		DecodeF64(in, tmp)
 		op(vec, tmp)

@@ -1,7 +1,9 @@
 package coll
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"testing"
 )
@@ -161,5 +163,47 @@ func TestSchedules(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// onesLink is a Link whose every receive delivers a vector of 1s.
+type onesLink struct{}
+
+func (onesLink) Send(int, int, []byte) error { return nil }
+
+func (onesLink) Recv(_, _ int, data []byte) error {
+	for i := 0; i+8 <= len(data); i += 8 {
+		binary.LittleEndian.PutUint64(data[i:], math.Float64bits(1))
+	}
+	return nil
+}
+
+// TestRunVecScratch checks that RunVec folds through a caller-held
+// VecScratch, grows it for a longer vector, and allocates nothing once it
+// is large enough.
+func TestRunVecScratch(t *testing.T) {
+	var s VecScratch
+	steps := RecursiveDoubling(0, 2, 0) // one exchange with rank 1
+	for _, n := range []int{3, 8, 2} {
+		vec := make([]float64, n)
+		for i := range vec {
+			vec[i] = float64(i)
+		}
+		if err := RunVec(onesLink{}, steps, vec, Sum, &s); err != nil {
+			t.Fatal(err)
+		}
+		for i, x := range vec {
+			if x != float64(i)+1 {
+				t.Fatalf("n=%d: vec[%d] = %v, want %v", n, i, x, float64(i)+1)
+			}
+		}
+	}
+	vec := make([]float64, 8)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := RunVec(onesLink{}, steps, vec, Sum, &s); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("RunVec with warm scratch: %v allocs, want 0", n)
 	}
 }

@@ -50,6 +50,7 @@ import (
 
 	"repro/internal/obs/trace"
 	"repro/internal/types"
+	"repro/internal/waittimer"
 )
 
 // ctNever is nextFire's value when no triggered operation is armed.
@@ -440,33 +441,51 @@ func (s *State) CTWait(h types.Handle, threshold uint64, timeout time.Duration) 
 	if err != nil {
 		return types.CTValue{}, err
 	}
-	var timer *time.Timer
+	// The counter is tested before a timer is armed, so a wait that is
+	// already satisfied costs no timer; one that blocks takes a pooled,
+	// deadline-checked timer (internal/waittimer).
+	v, done, err := c.reached(threshold)
+	if done {
+		return v, err
+	}
+	var timer *waittimer.Timer
 	var expired <-chan time.Time
 	if timeout > 0 {
-		timer = time.NewTimer(timeout)
+		timer = waittimer.Start(timeout)
+		defer timer.Release()
 		expired = timer.C
-		defer timer.Stop()
 	}
 	for {
-		v := types.CTValue{Success: c.success.Load(), Failure: c.failure.Load()}
-		if v.Success >= threshold {
-			// Cascade the token: with several waiters parked on one counter
-			// a single increment must not strand the rest.
-			c.wake()
-			return v, nil
-		}
-		if v.Failure != 0 {
-			c.wake()
-			return v, fmt.Errorf("%w: %v waiting for %d", types.ErrCTFailure, v, threshold)
-		}
 		select {
 		case <-c.notify:
 		case <-c.done:
 			return v, types.ErrClosed
 		case <-expired:
-			return v, fmt.Errorf("%w: %v after %v waiting for %d", types.ErrTimeout, v, timeout, threshold)
+			if timer.Expired() {
+				return v, fmt.Errorf("%w: %v after %v waiting for %d", types.ErrTimeout, v, timeout, threshold)
+			}
+		}
+		if v, done, err = c.reached(threshold); done {
+			return v, err
 		}
 	}
+}
+
+// reached reads the counter for CTWait: done once the success count has
+// reached threshold, or with ErrCTFailure once a failure was counted.
+func (c *ctr) reached(threshold uint64) (v types.CTValue, done bool, err error) {
+	v = types.CTValue{Success: c.success.Load(), Failure: c.failure.Load()}
+	if v.Success >= threshold {
+		// Cascade the token: with several waiters parked on one counter a
+		// single increment must not strand the rest.
+		c.wake()
+		return v, true, nil
+	}
+	if v.Failure != 0 {
+		c.wake()
+		return v, true, fmt.Errorf("%w: %v waiting for %d", types.ErrCTFailure, v, threshold)
+	}
+	return v, false, nil
 }
 
 // arm inserts op into ct's threshold-sorted armed list (stable for equal

@@ -27,6 +27,7 @@ import (
 	"repro/internal/obs/metrics"
 	"repro/internal/obs/trace"
 	"repro/internal/types"
+	"repro/internal/waittimer"
 )
 
 // Event records one completed Portals operation (§4.8). Which fields are
@@ -332,17 +333,18 @@ func (q *Queue) Wait() (Event, error) {
 
 // Poll waits up to d for an event. On timeout it returns ErrEQEmpty.
 // A non-positive d makes Poll equivalent to Get.
+//
+// Poll checks the ring before it arms a timer, so a queued event costs no
+// timer at all; a wait that blocks takes a pooled one (internal/waittimer)
+// and allocates nothing in steady state.
 func (q *Queue) Poll(d time.Duration) (Event, error) {
-	if d <= 0 {
-		return q.Get()
+	ev, err := q.Get()
+	if err != types.ErrEQEmpty || d <= 0 {
+		return ev, err
 	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	timer := waittimer.Start(d)
+	defer timer.Release()
 	for {
-		ev, err := q.Get()
-		if err != types.ErrEQEmpty {
-			return ev, err
-		}
 		select {
 		case <-q.notify:
 		case <-q.done:
@@ -351,7 +353,12 @@ func (q *Queue) Poll(d time.Duration) (Event, error) {
 			}
 			return Event{}, types.ErrClosed
 		case <-timer.C:
-			return Event{}, types.ErrEQEmpty
+			if timer.Expired() {
+				return Event{}, types.ErrEQEmpty
+			}
+		}
+		if ev, err := q.Get(); err != types.ErrEQEmpty {
+			return ev, err
 		}
 	}
 }

@@ -73,7 +73,7 @@ func (c *Comm) Reduce(vec []float64, op Op, root int) error {
 		return err
 	}
 	c.collSeq++
-	return collErr("reduce", coll.RunVec((*collLink)(c), coll.BinomialReduce(c.rank, c.size, root), vec, op))
+	return collErr("reduce", coll.RunVec((*collLink)(c), coll.BinomialReduce(c.rank, c.size, root), vec, op, &c.vec))
 }
 
 // Allreduce leaves the combined vector on every rank: reduce to rank 0
@@ -84,7 +84,7 @@ func (c *Comm) Allreduce(vec []float64, op Op) error {
 	if c.allreduce == nil {
 		c.allreduce = append(coll.BinomialReduce(c.rank, c.size, 0), coll.BinomialBcast(c.rank, c.size, 0)...)
 	}
-	return collErr("allreduce", coll.RunVec((*collLink)(c), c.allreduce, vec, op))
+	return collErr("allreduce", coll.RunVec((*collLink)(c), c.allreduce, vec, op, &c.vec))
 }
 
 // Gather collects equal-sized blocks from every rank into root's out

@@ -91,8 +91,9 @@ type Comm struct {
 
 	armingReq *Request // receive being posted; overflow drain matches it
 
-	collSeq   uint32      // collective-call sequence, advances identically on all ranks
-	allreduce []coll.Step // this rank's Allreduce schedule, built on first use
+	collSeq   uint32          // collective-call sequence, advances identically on all ranks
+	allreduce []coll.Step     // this rank's Allreduce schedule, built on first use
+	vec       coll.VecScratch // Reduce/Allreduce encode and decode buffers
 
 	fatalErr error
 }

@@ -389,7 +389,14 @@ func (n *Node) onBatch(batch []transport.Delivery) {
 		n.serialBurst = burst[:0]
 		return
 	}
-	groups := make([]*[]laneMsg, len(n.lanes))
+	// The group table lives on the stack, so a batch allocates nothing;
+	// only a node with more than 16 lanes needs a heap table.
+	var stack [16]*[]laneMsg
+	groups := stack[:]
+	if len(n.lanes) > len(stack) {
+		groups = make([]*[]laneMsg, len(n.lanes))
+	}
+	groups = groups[:len(n.lanes)]
 	traced := trace.Enabled() // hoisted: one branch per batch when disabled
 	for i := range batch {
 		d := &batch[i]
